@@ -12,7 +12,7 @@ use tl_nlp::{allpairs_cosine, pairwise_reference, AnalysisOptions, Analyzer, Spa
 use tl_rouge::RougeScorer;
 use tl_temporal::{Date, TemporalTagger};
 
-/// Dispatch-overhead microbench for the work-stealing pool: `par_map` on
+/// Dispatch-overhead microbench for the thread pool: `par_map` on
 /// the spawn-once pool vs the pre-pool `scoped_map` (one OS thread spawn
 /// per chunk, per call), at a fixed chunk count of 4 so both sides schedule
 /// identical work. Small batches isolate pure dispatch cost; the large

@@ -904,8 +904,8 @@ impl ShardedSearchEngine {
 
     /// Query a *pinned* snapshot, honoring its configured timeout. With no
     /// timeout this is `snapshot.search` (deterministic full fan-out); with
-    /// one, shards are dispatched to detached threads, shard 0 runs on the
-    /// caller, and shards missing the budget are dropped from the merge.
+    /// one, shards run as tasks on the shared thread pool, shard 0 runs on
+    /// the caller, and shards missing the budget are dropped from the merge.
     pub fn search_at(snapshot: &Arc<EngineSnapshot>, query: &SearchQuery) -> Vec<SearchHit> {
         Self::search_at_outcome(snapshot, query).hits
     }
@@ -929,9 +929,7 @@ impl ShardedSearchEngine {
         let pq = Arc::new(pq);
         let snap = Arc::clone(snapshot);
         let shard_ids: Vec<usize> = (0..snapshot.num_shards()).collect();
-        let results = par_map_deadline(shard_ids, Some(timeout), move |s| {
-            snap.search_shard(s, &pq)
-        });
+        let results = par_map_deadline(shard_ids, timeout, move |s| snap.search_shard(s, &pq));
         let mut partial = false;
         for (s, r) in results.iter().enumerate() {
             if r.is_none() {

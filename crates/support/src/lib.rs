@@ -8,9 +8,9 @@
 //! * [`json`] — a minimal JSON value type with a recursive-descent parser
 //!   and serializer plus [`json::ToJson`]/[`json::FromJson`] traits (the
 //!   `serde`/`serde_json` replacement),
-//! * [`pool`] — a spawn-once work-stealing thread pool (per-worker chunked
-//!   deques, LIFO local / FIFO steal, panic containment, cooperative
-//!   deadlines; the `rayon` replacement), sized by `TL_POOL_THREADS` /
+//! * [`pool`] — a spawn-once thread pool (one shared task queue, callers
+//!   help while they wait, panic containment, cooperative deadlines; the
+//!   `rayon` replacement), sized by `TL_POOL_THREADS` /
 //!   `available_parallelism`,
 //! * [`par`] — order-preserving data-parallel maps dispatched onto the
 //!   pool (the `crossbeam::scope` replacement — no hot path spawns OS
@@ -44,7 +44,7 @@ pub mod storage;
 
 pub use histogram::LatencyHistogram;
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use par::{par_map, par_map_deadline, try_par_map};
+pub use par::{par_map, par_map_deadline};
 pub use pool::{warm_pool, Pool, TaskPanic};
 pub use rng::Rng;
 pub use storage::{

@@ -1,18 +1,17 @@
-//! Data-parallel maps, dispatched onto the process-wide work-stealing
+//! Data-parallel maps, dispatched onto the process-wide
 //! [`crate::pool`] — no hot path spawns OS threads per call.
 //!
-//! [`par_map`] / [`par_map_threads`] preserve their original contracts
-//! (order-preserving, panics propagate to the caller) but now run as chunk
-//! tasks on the spawn-once pool; [`try_par_map`] exposes the pool's
-//! per-item panic containment instead of propagating. [`par_map_deadline`]
-//! keeps its graceful-degradation contract (slot 0 always computed, on the
-//! calling thread) with a cooperative budget: abandoned work is bounded by
-//! the pool and counted ([`crate::pool::Pool::abandoned_tasks`]) instead of
-//! leaking detached threads.
+//! [`par_map`] / [`par_map_threads`] are order-preserving and propagate
+//! panics to the caller; they run as chunk tasks on the spawn-once pool
+//! (call [`Pool::map_chunks`] directly for per-item panic containment).
+//! [`par_map_deadline`] keeps its graceful-degradation contract (slot 0
+//! always computed, on the calling thread) with a cooperative budget:
+//! abandoned work is bounded by the pool and counted
+//! ([`Pool::abandoned_tasks`]) instead of leaking detached threads.
 //!
 //! Determinism: output order is slot order, and `f` runs once per item with
 //! the same arguments regardless of chunking — results are bitwise
-//! independent of `TL_POOL_THREADS`, worker count, and steal interleaving.
+//! independent of `TL_POOL_THREADS`, worker count, and execution order.
 //! Any cross-item *reduction* is the caller's responsibility and every
 //! caller in this workspace reduces in fixed input order.
 
@@ -61,17 +60,6 @@ where
     values
 }
 
-/// [`par_map`] with per-item panic containment: a panic in `f` yields an
-/// `Err(TaskPanic)` for that item only; every other item still completes.
-pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global().map_chunks(items, threads(), &f)
-}
-
 /// Map `f` over owned `items` with a wall-clock budget, returning
 /// `Some(result)` for every item that finished in time and `None` for the
 /// rest.
@@ -82,9 +70,9 @@ where
 /// nothing. Remaining items run as pool tasks with a cooperative deadline:
 /// when the budget expires the batch is abandoned — queued items are
 /// skipped, in-flight items finish on pool workers and are discarded, and
-/// both are counted in [`crate::pool::Pool::abandoned_tasks`]. With
-/// `timeout = None` this waits for every item (all slots `Some`).
-pub fn par_map_deadline<T, R, F>(items: Vec<T>, timeout: Option<Duration>, f: F) -> Vec<Option<R>>
+/// both are counted in [`Pool::abandoned_tasks`]. Fan-outs without a
+/// budget use [`par_map`].
+pub fn par_map_deadline<T, R, F>(items: Vec<T>, timeout: Duration, f: F) -> Vec<Option<R>>
 where
     T: Send + 'static,
     R: Send + 'static,
@@ -157,34 +145,30 @@ mod tests {
     }
 
     #[test]
-    fn deadline_none_waits_for_everything() {
-        let xs: Vec<u64> = (0..37).collect();
-        let out = par_map_deadline(xs.clone(), None, |x| x * 2);
-        assert_eq!(out, xs.iter().map(|&x| Some(x * 2)).collect::<Vec<_>>());
-        assert!(par_map_deadline(Vec::<u8>::new(), None, |x| x).is_empty());
-    }
-
-    #[test]
     fn zero_deadline_still_returns_first_item() {
-        let out = par_map_deadline(vec![1u32, 2, 3, 4], Some(Duration::ZERO), |x| {
+        let out = par_map_deadline(vec![1u32, 2, 3, 4], Duration::ZERO, |x| {
             if x > 1 {
                 // Stragglers may sleep; they must be abandoned, not awaited.
                 std::thread::sleep(Duration::from_millis(50));
             }
             x * 10
         });
-        assert_eq!(out[0], Some(10), "item 0 is always computed");
-        assert_eq!(out.len(), 4);
+        assert_eq!(
+            out,
+            [Some(10), None, None, None],
+            "item 0 is always computed"
+        );
     }
 
     #[test]
     fn generous_deadline_collects_all() {
         let out = par_map_deadline(
             (0..8u64).collect::<Vec<_>>(),
-            Some(Duration::from_secs(30)),
+            Duration::from_secs(30),
             |x| x + 1,
         );
         assert_eq!(out, (0..8u64).map(|x| Some(x + 1)).collect::<Vec<_>>());
+        assert!(par_map_deadline(Vec::<u8>::new(), Duration::ZERO, |x| x).is_empty());
     }
 
     #[test]
@@ -197,24 +181,5 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn try_par_map_contains_panics_per_item() {
-        let xs: Vec<u32> = (0..32).collect();
-        let out = try_par_map(&xs, |&x| {
-            if x % 13 == 7 {
-                panic!("unlucky {x}");
-            }
-            x * 2
-        });
-        assert_eq!(out.len(), 32);
-        for (i, r) in out.iter().enumerate() {
-            if i % 13 == 7 {
-                assert!(r.as_ref().unwrap_err().message.contains("unlucky"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), 2 * i as u32);
-            }
-        }
     }
 }

@@ -1,44 +1,47 @@
-//! A spawn-once, work-stealing thread pool — the substrate every `par_map`
-//! in the workspace dispatches onto, so hot paths that fan out thousands of
-//! times per run (sharded search, per-day TextRank, batch analysis, ANN
-//! build) never pay per-call OS thread creation.
+//! A spawn-once thread pool — the substrate every `par_map` in the
+//! workspace dispatches onto, so hot paths that fan out thousands of times
+//! per run (sharded search, per-day TextRank, batch analysis, ANN build)
+//! never pay per-call OS thread creation.
 //!
 //! # Architecture
 //!
 //! * **Workers** are spawned once, lazily, on first use of the global pool
 //!   ([`Pool::global`]). The worker count is `TL_POOL_THREADS` when set
 //!   (any value ≥ 1), otherwise `available_parallelism`.
-//! * **Per-worker chunked deques**: every worker owns a deque of tasks
-//!   (a task is one contiguous chunk of a mapped slice, not one item).
-//!   A worker pops its own deque **LIFO** (back) — the chunk it pushed
-//!   most recently is the cache-hottest — and steals from other workers'
-//!   deques **FIFO** (front), taking the oldest, coldest chunk. External
-//!   (non-worker) submitters distribute chunks round-robin across the
-//!   worker deques.
+//! * **One task queue**: a single `Mutex<VecDeque>` of tasks (a task is one
+//!   contiguous chunk of a mapped slice, not one item). Idle workers wait
+//!   on one condvar and blocked joiners on another, both under the queue's
+//!   own lock, so a push or a batch completion can never slip between a
+//!   waiter's check and its wait. Workers pop the oldest task.
 //! * **Cooperative joins**: a thread waiting for its batch *helps*: it runs
-//!   its own chunk first, then pulls queued tasks (its own batch's or any
-//!   other's) instead of blocking. A nested `par_map` issued from inside a
-//!   worker therefore always makes progress on the calling worker itself —
-//!   nesting can never deadlock, no matter how the pool is sized.
+//!   its own chunk first, then pops the newest queued task (its own batch's
+//!   or any other's) until its batch completes, sleeping only while the
+//!   queue is empty and waking on the next push. A nested `par_map` issued
+//!   from inside a worker therefore always makes progress on the calling
+//!   thread itself — nesting can never deadlock, no matter how the pool is
+//!   sized.
+//! * **`Arc`-owned latches**: every batch counts its queued tasks down on a
+//!   countdown latch that each task holds an `Arc` of, so the last finisher
+//!   never touches memory the joiner may already have freed.
 //! * **Panic containment**: every mapped item runs under `catch_unwind`; a
 //!   panic poisons only that item's slot ([`TaskPanic`]). Workers never
 //!   unwind and the pool never loses a thread to a user panic.
 //! * **Determinism**: results are written into per-index slots and every
 //!   cross-chunk reduction in the workspace is performed by the *caller*
 //!   in fixed chunk order, so mapped output is a pure function of the
-//!   input — independent of worker count, steal interleaving, and
+//!   input — independent of worker count, execution order, and
 //!   `TL_POOL_THREADS`.
 //!
 //! Deadline-bounded fan-outs ([`Pool::deadline_map`]) are cooperative:
 //! tasks that have not started when the budget expires are skipped, and
-//! both skipped and wasted (finished-after-abandon) tasks are counted in
-//! [`Pool::abandoned_tasks`] — unlike the old detached-thread design,
-//! abandoned work is bounded by the pool and observable.
+//! both skipped and wasted (finished-after-collection) tasks are counted in
+//! [`Pool::abandoned_tasks`], so abandoned work is bounded by the pool and
+//! observable.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A contained panic from one mapped item: the payload message, with the
@@ -67,148 +70,139 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// Lock `m`, recovering the guard if a panicking holder poisoned it (no
+/// pool lock is held across user code, so the data is always consistent).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-/// Shared pool state: one deque per worker plus the sleep/wake machinery.
+/// A queued task; it receives the pool state of the thread that runs it.
+type Task = Box<dyn FnOnce(&Shared) + Send + 'static>;
+
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+    /// Joiners currently blocked on `Shared::joiners`.
+    blocked: usize,
+}
+
+/// Shared pool state: the task queue and the cumulative counters.
 struct Shared {
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Round-robin cursor for external submissions.
-    next_push: AtomicUsize,
-    /// Tasks queued and not yet claimed (advisory, drives worker sleep).
-    pending: AtomicUsize,
-    sleep: Mutex<()>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    /// Deadline-map tasks skipped before start or finished after abandon.
+    queue: Mutex<Queue>,
+    /// Idle workers wait here; signalled on every push and on shutdown.
+    ready: Condvar,
+    /// Blocked joiners wait here; signalled on every push and whenever a
+    /// latch opens while one is blocked.
+    joiners: Condvar,
+    /// Deadline-map tasks skipped before start or finished after collection.
     abandoned: AtomicU64,
     /// Tasks executed to completion (chunk granularity).
     executed: AtomicU64,
 }
 
 impl Shared {
-    fn lock_queue(&self, i: usize) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
-        self.queues[i].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Queue a task: a worker of this pool pushes to its own deque (LIFO
-    /// pop side), anyone else round-robins across the deques.
-    fn push(self: &Arc<Self>, task: Task) {
-        let q = match worker_index_in(self) {
-            Some(me) => me,
-            None => self.next_push.fetch_add(1, Ordering::Relaxed) % self.queues.len(),
-        };
-        self.lock_queue(q).push_back(task);
-        self.pending.fetch_add(1, Ordering::Release);
-        // Take the sleep lock before notifying so a worker between its
-        // "nothing queued" check and its wait cannot miss the wakeup.
-        drop(self.sleep.lock().unwrap_or_else(PoisonError::into_inner));
-        self.wake.notify_all();
-    }
-
-    /// Claim a task: own deque back (LIFO) when `me` is a worker index,
-    /// then the other deques front-first (FIFO steal).
-    fn grab(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(me) = me {
-            if let Some(task) = self.lock_queue(me).pop_back() {
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-                return Some(task);
-            }
+    fn push(&self, tasks: impl Iterator<Item = Task>) {
+        let mut q = lock(&self.queue);
+        let before = q.tasks.len();
+        q.tasks.extend(tasks);
+        let added = q.tasks.len() - before;
+        let blocked = q.blocked > 0;
+        drop(q);
+        match added {
+            0 => return,
+            1 => self.ready.notify_one(),
+            _ => self.ready.notify_all(),
         }
-        let n = self.queues.len();
-        let start = match me {
-            Some(me) => me + 1,
-            None => self.next_push.load(Ordering::Relaxed),
-        };
-        for k in 0..n {
-            let q = (start + k) % n;
-            if Some(q) == me {
-                continue;
-            }
-            if let Some(task) = self.lock_queue(q).pop_front() {
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-                return Some(task);
-            }
+        if blocked {
+            self.joiners.notify_all();
         }
-        None
     }
 
     fn run(&self, task: Task) {
-        task();
+        task(self);
         self.executed.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Wait on `joiners`, counted in `q.blocked`, until woken or until
+    /// `timeout` (if any) elapses.
+    fn block<'a>(
+        &self,
+        mut q: MutexGuard<'a, Queue>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Queue> {
+        q.blocked += 1;
+        q = match timeout {
+            None => self.joiners.wait(q).unwrap_or_else(PoisonError::into_inner),
+            Some(t) => {
+                self.joiners
+                    .wait_timeout(q, t)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+        q.blocked -= 1;
+        q
+    }
 }
 
-std::thread_local! {
-    /// `(Arc::as_ptr of the pool's Shared, worker index)` for pool workers.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
-}
-
-/// The calling thread's worker index **in this pool**, if it is one.
-fn worker_index_in(shared: &Arc<Shared>) -> Option<usize> {
-    WORKER.with(|w| match w.get() {
-        Some((id, me)) if id == Arc::as_ptr(shared) as usize => Some(me),
-        _ => None,
-    })
-}
-
-fn worker_loop(shared: Arc<Shared>, me: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, me))));
+fn worker_loop(shared: Arc<Shared>) {
+    let mut q = lock(&shared.queue);
     loop {
-        if let Some(task) = shared.grab(Some(me)) {
+        if let Some(task) = q.tasks.pop_front() {
+            drop(q);
             shared.run(task);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+            q = lock(&shared.queue);
+        } else if q.shutdown {
             return;
+        } else {
+            q = shared.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
-        let guard = shared.sleep.lock().unwrap_or_else(PoisonError::into_inner);
-        if shared.pending.load(Ordering::Acquire) > 0 || shared.shutdown.load(Ordering::Acquire) {
-            continue; // something arrived between the grab and the lock
-        }
-        // Timeout is a backstop only; pushes notify under the sleep lock.
-        let _ = shared
-            .wake
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
-/// Completion rendezvous for one scoped batch.
-struct BatchSync {
+/// Countdown latch for one batch's queued tasks. Each task holds an `Arc`
+/// of it, so `count_down` only ever touches memory the task itself keeps
+/// alive (and the pool state its runner keeps alive), even when it lets the
+/// joiner return.
+struct Latch {
     remaining: AtomicUsize,
-    done: Mutex<bool>,
-    cv: Condvar,
 }
 
-impl BatchSync {
-    fn new(tasks: usize) -> Self {
-        Self {
-            remaining: AtomicUsize::new(tasks),
-            done: Mutex::new(false),
-            cv: Condvar::new(),
+impl Latch {
+    fn new(count: usize) -> Arc<Self> {
+        Arc::new(Self {
+            remaining: AtomicUsize::new(count),
+        })
+    }
+
+    /// Release this task's writes to the joiner and, on the last count, wake
+    /// blocked joiners. The check of `blocked` takes the queue lock, which a
+    /// joiner holds from its own `is_open` check until it waits, so the
+    /// wakeup cannot fall between the two.
+    fn count_down(&self, shared: &Shared) {
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && lock(&shared.queue).blocked > 0 {
+            shared.joiners.notify_all();
         }
     }
 
-    /// Mark one task finished; wake the joiner on the last.
-    fn finish_one(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut g = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-            *g = true;
-            self.cv.notify_all();
-        }
+    fn is_open(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
     }
 }
 
 /// Write-once result slots shared by the chunks of one scoped map.
 ///
 /// Safety contract: chunk `c` writes only indices in its own `[lo, hi)`
-/// range, each exactly once, before its `BatchSync::finish_one`; the joiner
-/// reads only after observing `remaining == 0` (Acquire), which the final
-/// Release decrement orders after every write.
+/// range, each exactly once, before its `Latch::count_down`; the joiner
+/// reads only after observing the latch open, and the latch's release
+/// decrements and acquire load order every write before that observation.
 struct Slots<R> {
     cells: Vec<std::cell::UnsafeCell<Option<R>>>,
 }
 
+// SAFETY: `cells` is the only field. Shared access only ever writes
+// disjoint slots (see the contract above), and the written `R` values are
+// later moved to the joining thread, hence the `R: Send` bound.
 unsafe impl<R: Send> Sync for Slots<R> {}
 
 impl<R> Slots<R> {
@@ -218,7 +212,12 @@ impl<R> Slots<R> {
         }
     }
 
-    /// Store into slot `i`. See the struct-level safety contract.
+    /// Store into slot `i`.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may access slot `i` until the joiner reads it after
+    /// the batch latch opens (the struct-level contract).
     unsafe fn put(&self, i: usize, value: R) {
         *self.cells[i].get() = Some(value);
     }
@@ -228,7 +227,7 @@ impl<R> Slots<R> {
     }
 }
 
-/// The work-stealing pool. See the module docs for the architecture.
+/// The thread pool. See the module docs for the architecture.
 pub struct Pool {
     shared: Arc<Shared>,
     threads: usize,
@@ -243,12 +242,13 @@ impl Pool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            next_push: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+                blocked: 0,
+            }),
+            ready: Condvar::new(),
+            joiners: Condvar::new(),
             abandoned: AtomicU64::new(0),
             executed: AtomicU64::new(0),
         });
@@ -257,7 +257,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("tl-pool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -281,7 +281,7 @@ impl Pool {
     }
 
     /// Deadline-map tasks that were skipped (budget expired before start)
-    /// or wasted (finished after their batch was abandoned) — cumulative.
+    /// or wasted (finished after their batch was collected) — cumulative.
     pub fn abandoned_tasks(&self) -> u64 {
         self.shared.abandoned.load(Ordering::Relaxed)
     }
@@ -295,11 +295,9 @@ impl Pool {
     /// (workers exit only when they find nothing to run). Test-pool
     /// hygiene; never called on the global pool.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        drop(self.shared.sleep.lock().unwrap_or_else(PoisonError::into_inner));
-        self.shared.wake.notify_all();
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap_or_else(PoisonError::into_inner));
-        for h in handles {
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.ready.notify_all();
+        for h in std::mem::take(&mut *lock(&self.handles)) {
             let _ = h.join();
         }
     }
@@ -308,100 +306,93 @@ impl Pool {
     /// tasks, preserving order. The calling thread runs the first chunk
     /// itself, then helps the pool until the batch completes. A panic in
     /// `f` poisons only that item's slot.
-    pub fn map_chunks<T, R, F>(&self, items: &[T], chunks: usize, f: &F) -> Vec<Result<R, TaskPanic>>
+    pub fn map_chunks<T, R, F>(
+        &self,
+        items: &[T],
+        chunks: usize,
+        f: &F,
+    ) -> Vec<Result<R, TaskPanic>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunks = chunks.clamp(1, n);
         let run_item = |i: usize| -> Result<R, TaskPanic> {
             catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| TaskPanic {
                 index: i,
                 message: payload_message(p),
             })
         };
-        if chunks == 1 {
+        if chunks <= 1 || n <= 1 {
             return (0..n).map(run_item).collect();
         }
 
-        let chunk_len = n.div_ceil(chunks);
+        let chunk_len = n.div_ceil(chunks.min(n));
+        let chunks = n.div_ceil(chunk_len);
         let slots = Slots::new(n);
-        let sync = BatchSync::new(chunks);
         let run_chunk = |c: usize| {
-            let lo = c * chunk_len;
-            let hi = (lo + chunk_len).min(n);
+            let (lo, hi) = (c * chunk_len, ((c + 1) * chunk_len).min(n));
             for i in lo..hi {
-                // Safety: this chunk exclusively owns slots [lo, hi).
+                // SAFETY: this chunk exclusively owns slots [lo, hi).
                 unsafe { slots.put(i, run_item(i)) };
             }
-            sync.finish_one();
         };
-        for c in 1..chunks {
-            // Safety: `run_chunk` borrows stack state (`items`, `f`,
-            // `slots`, `sync`) that outlives the task because this function
-            // does not return until `sync` reports every chunk finished,
-            // and every queued chunk is guaranteed to run (by a worker or
-            // by the help loop below).
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || run_chunk(c));
-            let task: Task = unsafe { std::mem::transmute(task) };
-            self.shared.push(task);
-        }
+        let latch = Latch::new(chunks - 1);
+        self.shared.push((1..chunks).map(|c| {
+            let latch = Arc::clone(&latch);
+            let task: Box<dyn FnOnce(&Shared) + Send + '_> = Box::new(move |shared| {
+                run_chunk(c);
+                latch.count_down(shared);
+            });
+            // SAFETY: `run_chunk` borrows this frame (`items`, `f`, `slots`)
+            // and is done with it before `count_down`; this function does
+            // not return until the latch opens, and every queued chunk is
+            // guaranteed to run (by a worker or by the help loop below).
+            // `count_down` touches only the task's own `Arc` and the pool
+            // state its runner keeps alive.
+            unsafe { std::mem::transmute::<_, Task>(task) }
+        }));
         run_chunk(0);
-        self.help_until(&sync);
+        self.help_until(&latch);
         slots
             .into_values()
             .map(|s| s.expect("every chunk fills its slots"))
             .collect()
     }
 
-    /// Run queued tasks (any batch's) until `sync` completes; park briefly
-    /// only when nothing is runnable.
-    fn help_until(&self, sync: &BatchSync) {
-        let me = worker_index_in(&self.shared);
-        loop {
-            if sync.remaining.load(Ordering::Acquire) == 0 {
-                return;
+    /// Run queued tasks (any batch's, newest first, so a nested map's own
+    /// chunks come before older outer work) until `latch` opens. While the
+    /// queue is empty every chunk of this batch has been claimed, so sleep
+    /// until either a task is pushed (often nested work of those chunks) or
+    /// the latch opens.
+    fn help_until(&self, latch: &Latch) {
+        let shared = &*self.shared;
+        let mut q = lock(&shared.queue);
+        while !latch.is_open() {
+            match q.tasks.pop_back() {
+                Some(task) => {
+                    drop(q);
+                    shared.run(task);
+                    q = lock(&shared.queue);
+                }
+                None => q = shared.block(q, None),
             }
-            if let Some(task) = self.shared.grab(me) {
-                self.shared.run(task);
-                continue;
-            }
-            let g = sync.done.lock().unwrap_or_else(PoisonError::into_inner);
-            if sync.remaining.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            // In-flight chunks are running on other threads; the last one
-            // notifies under this lock. The timeout is a backstop so a
-            // missed edge (task pushed elsewhere) cannot strand us.
-            let _ = sync
-                .cv
-                .wait_timeout(g, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Map `f` over owned `items` with an optional wall-clock budget;
-    /// `None` in a slot means that item was abandoned.
+    /// Map `f` over owned `items` within a wall-clock `timeout`; `None` in
+    /// a slot means that item was abandoned (or its closure panicked).
     ///
-    /// Contract (inherited from the pre-pool scoped implementation): item 0
-    /// always runs on the calling thread before the deadline is consulted,
-    /// so slot 0 is always `Some` — the graceful-degradation floor. With
-    /// `timeout = None` every slot is `Some` and the caller helps execute;
-    /// with a budget the caller waits (so the cutoff is precise) and on
-    /// expiry sets the abandon flag: queued-but-unstarted items are skipped
-    /// by the workers, and both skipped and too-late completions are
-    /// counted in [`Pool::abandoned_tasks`].
-    pub fn deadline_map<T, R, F>(
-        &self,
-        items: Vec<T>,
-        timeout: Option<Duration>,
-        f: F,
-    ) -> Vec<Option<R>>
+    /// Item 0 always runs on the calling thread before the deadline is
+    /// consulted, so slot 0 is always `Some` unless `f` panics on it — the
+    /// graceful-degradation floor. The other items run as pool tasks; the
+    /// caller waits (rather than helps, so the cutoff is precise) until they
+    /// finish or the budget expires, then collects. A task that starts
+    /// after the budget is skipped and one that finishes after collection
+    /// is discarded; both are counted in [`Pool::abandoned_tasks`]. A zero
+    /// budget therefore deterministically yields slot 0 alone.
+    pub fn deadline_map<T, R, F>(&self, items: Vec<T>, timeout: Duration, f: F) -> Vec<Option<R>>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -412,87 +403,44 @@ impl Pool {
             return Vec::new();
         }
         let start = Instant::now();
+        let expired = move || start.elapsed() >= timeout;
         let f = Arc::new(f);
-        struct DeadlineState<R> {
-            slots: Vec<Mutex<Option<R>>>,
-            sync: BatchSync,
-            abandoned: AtomicBool,
-        }
-        let state = Arc::new(DeadlineState::<R> {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            sync: BatchSync::new(n),
-            abandoned: AtomicBool::new(false),
-        });
-        let mut iter = items.into_iter();
-        let first = iter.next().expect("n > 0");
-        // An already-spent budget (`Some(ZERO)` is the "first partition
-        // only" idiom) degrades *deterministically*: nothing is queued, so
-        // no worker can race the expiry check and sneak extra slots in.
-        if let Some(budget) = timeout {
-            if budget
-                .checked_sub(start.elapsed())
-                .is_none_or(|left| left.is_zero())
-            {
-                self.shared
-                    .abandoned
-                    .fetch_add((n - 1) as u64, Ordering::Relaxed);
-                let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-                out.push(catch_unwind(AssertUnwindSafe(|| f(first))).ok());
-                out.extend((1..n).map(|_| None));
-                return out;
-            }
-        }
-        for (k, item) in iter.enumerate() {
-            let f = Arc::clone(&f);
-            let st = Arc::clone(&state);
-            let shared = Arc::clone(&self.shared);
-            self.shared.push(Box::new(move || {
-                if st.abandoned.load(Ordering::Acquire) {
-                    shared.abandoned.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let r = catch_unwind(AssertUnwindSafe(|| f(item)));
-                    if st.abandoned.load(Ordering::Acquire) {
-                        // Finished after the budget expired: the result is
-                        // discarded, not admitted late.
-                        shared.abandoned.fetch_add(1, Ordering::Relaxed);
-                    } else if let Ok(v) = r {
-                        *st.slots[k + 1].lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
+        // `None` once the caller has collected the batch.
+        let results = Arc::new(Mutex::new(Some(
+            (0..n).map(|_| None).collect::<Vec<Option<R>>>(),
+        )));
+        let latch = Latch::new(n - 1);
+        let mut items = items.into_iter();
+        let first = items.next().expect("n > 0");
+        self.shared.push(items.enumerate().map(|(k, item)| {
+            let (f, results, latch) = (Arc::clone(&f), Arc::clone(&results), Arc::clone(&latch));
+            Box::new(move |shared: &Shared| {
+                let admitted = !expired() && {
+                    let value = catch_unwind(AssertUnwindSafe(|| f(item))).ok();
+                    match lock(&results).as_mut() {
+                        Some(slots) => {
+                            slots[k + 1] = value;
+                            true
+                        }
+                        None => false,
                     }
+                };
+                if !admitted {
+                    shared.abandoned.fetch_add(1, Ordering::Relaxed);
                 }
-                st.sync.finish_one();
-            }));
+                latch.count_down(shared);
+            }) as Task
+        }));
+        let first = catch_unwind(AssertUnwindSafe(|| f(first))).ok();
+        let shared = &*self.shared;
+        let mut q = lock(&shared.queue);
+        while !latch.is_open() && !expired() {
+            q = shared.block(q, Some(timeout.saturating_sub(start.elapsed())));
         }
-        // The guaranteed partition: computed here, never under the budget.
-        if let Ok(v) = catch_unwind(AssertUnwindSafe(|| f(first))) {
-            *state.slots[0].lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
-        }
-        state.sync.finish_one();
-
-        match timeout {
-            None => self.help_until(&state.sync),
-            Some(budget) => {
-                let mut g = state.sync.done.lock().unwrap_or_else(PoisonError::into_inner);
-                while state.sync.remaining.load(Ordering::Acquire) > 0 {
-                    let Some(left) = budget.checked_sub(start.elapsed()) else {
-                        break;
-                    };
-                    let (g2, _) = state
-                        .sync
-                        .cv
-                        .wait_timeout(g, left)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    g = g2;
-                }
-                if state.sync.remaining.load(Ordering::Acquire) > 0 {
-                    state.abandoned.store(true, Ordering::Release);
-                }
-            }
-        }
-        state
-            .slots
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take())
-            .collect()
+        drop(q);
+        let mut out = lock(&results).take().expect("collected once");
+        out[0] = first;
+        out
     }
 }
 
@@ -561,9 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn deadline_none_completes_everything() {
+    fn generous_deadline_completes_everything() {
         let pool = Pool::new(2);
-        let out = pool.deadline_map((0..40u64).collect(), None, |x| x * 3);
+        let out = pool.deadline_map((0..40u64).collect(), Duration::from_secs(60), |x| x * 3);
         assert_eq!(out, (0..40u64).map(|x| Some(x * 3)).collect::<Vec<_>>());
         pool.shutdown();
     }
@@ -572,23 +520,27 @@ mod tests {
     fn abandoned_counter_moves_on_expired_budget() {
         let pool = Pool::new(1);
         let before = pool.abandoned_tasks();
-        let out = pool.deadline_map(
-            (0..6u64).collect(),
-            Some(Duration::ZERO),
-            |x| {
-                if x > 0 {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                x
-            },
+        let out = pool.deadline_map((0..6u64).collect(), Duration::ZERO, |x| {
+            if x > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            x
+        });
+        assert_eq!(
+            out,
+            [Some(0), None, None, None, None, None],
+            "slot 0 is the guaranteed partition"
         );
-        assert_eq!(out[0], Some(0), "slot 0 is the guaranteed partition");
         // Give stragglers time to be observed as abandoned.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while pool.abandoned_tasks() == before && Instant::now() < deadline {
+        while pool.abandoned_tasks() < before + 5 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(pool.abandoned_tasks() > before, "abandoned work must be counted");
+        assert_eq!(
+            pool.abandoned_tasks(),
+            before + 5,
+            "abandoned work must be counted"
+        );
         pool.shutdown();
     }
 

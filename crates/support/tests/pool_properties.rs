@@ -1,11 +1,11 @@
-//! Property/stress suite for the work-stealing pool: nesting never
+//! Property/stress suite for the thread pool: nesting never
 //! deadlocks, panics poison exactly one item, seeded stress runs are
 //! replay-deterministic, and — the reason the pool exists — hot-path maps
 //! never spawn OS threads per call (process thread-count probe).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-use tl_support::par::{par_map, par_map_deadline, par_map_threads, scoped_map, try_par_map};
+use tl_support::par::{self, par_map, par_map_deadline, par_map_threads, scoped_map};
 use tl_support::pool::Pool;
 use tl_support::quickprop::{check_with, gens, Config};
 use tl_support::rng::{splitmix64, Rng};
@@ -71,7 +71,7 @@ fn nested_par_map_never_deadlocks() {
 fn panicking_task_errors_that_item_only() {
     let completed = AtomicUsize::new(0);
     let xs: Vec<u32> = (0..97).collect();
-    let out = try_par_map(&xs, |&x| {
+    let out = Pool::global().map_chunks(&xs, par::threads(), &|&x| {
         if x == 41 {
             panic!("item 41 exploded");
         }
@@ -160,7 +160,7 @@ fn deadline_abandonment_is_observable() {
     let before = Pool::global().abandoned_tasks();
     let out = par_map_deadline(
         (0..4u64).collect::<Vec<_>>(),
-        Some(Duration::from_millis(1)),
+        Duration::from_millis(1),
         |x| {
             if x > 0 {
                 std::thread::sleep(Duration::from_millis(150));

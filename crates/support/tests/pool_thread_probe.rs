@@ -11,8 +11,8 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tl_support::par::{par_map, par_map_deadline, par_map_threads, try_par_map};
-use tl_support::pool::process_threads;
+use tl_support::par::{self, par_map, par_map_deadline, par_map_threads};
+use tl_support::pool::{process_threads, Pool};
 use tl_support::rng::splitmix64;
 
 fn churn(seed: u64, rounds: u32) -> u64 {
@@ -55,12 +55,10 @@ fn hot_paths_spawn_no_threads_per_invocation() {
     for round in 0..300u64 {
         let _ = par_map(&xs, |&x| churn(x ^ round, 8));
         let _ = par_map_threads(&xs, 4, |&x| churn(x ^ round, 4));
-        let _ = try_par_map(&xs[..64], |&x| churn(x, 4));
-        let _ = par_map_deadline(
-            (0..8u64).collect::<Vec<_>>(),
-            Some(Duration::from_secs(5)),
-            |x| churn(x, 4),
-        );
+        let _ = Pool::global().map_chunks(&xs[..64], par::threads(), &|&x| churn(x, 4));
+        let _ = par_map_deadline((0..8u64).collect::<Vec<_>>(), Duration::from_secs(5), |x| {
+            churn(x, 4)
+        });
     }
 
     stop.store(true, Ordering::Release);

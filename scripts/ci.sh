@@ -39,7 +39,7 @@ echo "== offline tests (all targets) =="
 cargo test -q --offline
 
 echo "== thread pool: property + no-spawn-per-call gate =="
-# Work-stealing pool invariants: nested par_map never deadlocks (even on a
+# Pool invariants: nested par_map never deadlocks (even on a
 # 1-worker pool), a panicking task poisons only its own item, seeded
 # 8-thread stress runs are replay-deterministic, expired deadline work is
 # observable in the abandoned counter, and — the reason the pool exists —
@@ -52,6 +52,32 @@ echo "== thread pool: single-worker full-suite pass =="
 # worker: results are thread-count-independent by construction, and the
 # caller-helps scheduler must make any nesting depth deadlock-free.
 TL_POOL_THREADS=1 cargo test -q --offline
+
+echo "== thread pool: real parallelism (2 and 8 workers) =="
+# The pool and concurrency proofs must also hold with several workers
+# racing: the full-suite pass above runs on one worker and the default
+# pass on however many cores the CI machine has.
+for workers in 2 8; do
+    TL_POOL_THREADS=$workers cargo test -q --offline -p tl-support --test pool_properties
+    TL_POOL_THREADS=$workers TL_STRESS_ITERS=1 TL_STRESS_SEED=5745438 \
+        TL_CHAOS_ITERS=1 TL_CHAOS_SEED=5745438 \
+        cargo test -q --offline -p tl-wilson --test stress --test chaos
+done
+
+echo "== thread pool + concurrency suites: AddressSanitizer =="
+# The pool lifetime-erases scoped borrows into its queue and writes result
+# slots through raw cells, so a task that outlives its joiner's frame is a
+# silent memory error. ASan (the installed nightly's runtime) turns one into
+# a hard failure; pool_latch is the regression test for the latch lifetime.
+# Instrumented builds go to their own target directory.
+asan_test() {
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR="$PWD/target/asan" \
+        cargo +nightly test -q --offline --target x86_64-unknown-linux-gnu "$@"
+}
+asan_test -p tl-support --lib --test pool_latch --test pool_properties
+TL_STRESS_ITERS=1 TL_STRESS_SEED=5745438 TL_CHAOS_ITERS=1 TL_CHAOS_SEED=5745438 \
+    asan_test -p tl-wilson --test stress --test chaos
+asan_test -p tl-ir --test replication
 
 echo "== ANN index: multi-thread differential gate =="
 # Fixed seeds, 8 pool workers: builds and queries at parallelism degrees
